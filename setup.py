@@ -1,8 +1,11 @@
-"""Legacy setup shim.
+"""Package metadata: this file is the only place it lives.
 
-The offline environment lacks the ``wheel`` package, so PEP 660 editable
-installs fail; this shim lets ``pip install -e .`` fall back to
-``setup.py develop``.  All metadata lives in pyproject.toml.
+There is no ``pyproject.toml``, so ``pip install -e .`` runs
+``setup.py develop`` and works without the ``wheel`` package.
+
+Runtime dependencies: ``numpy`` (the array tier and batched HPWL) and
+``scipy`` (the sequence-pair symmetric packer falls back to
+``scipy.optimize.linprog`` for the exact packing).
 """
 
 from setuptools import find_packages, setup
@@ -13,5 +16,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    install_requires=["numpy", "scipy"],
 )

@@ -25,6 +25,8 @@ from typing import Mapping
 
 from ..circuit import SymmetryGroup
 from ..geometry import ModuleSet, Orientation, PlacedModule, Placement, Rect
+from ..perf.coords import Coords, bounding_of, normalize_bounded
+from ..perf.kernel import Skyline, pack_tree_coords
 from .packing import pack_sizes
 from .tree import BStarTree
 
@@ -140,6 +142,36 @@ class ASFBStarTree:
                     )
                 )
         return Placement.of(placed)
+
+    def pack_coords(
+        self, modules: ModuleSet, skyline: Skyline | None = None
+    ) -> tuple[Coords, tuple[float, float]]:
+        """Flat twin of ``pack(modules).normalized()``: the island as a
+        normalized coordinate table, plus its ``(width, height)``.
+
+        Packs the half-tree with :func:`~repro.perf.kernel.pack_tree_coords`
+        (pass a ``skyline`` to reuse its storage) and mirrors on tuples
+        with the float operations of :meth:`Rect.mirrored_x` about
+        ``x = 0``, so the table equals the rich island bit for bit,
+        placement order included.
+        """
+        half = pack_tree_coords(self.tree, self._sizes(modules), skyline)
+        selfsym = self.group.self_symmetric
+        sym = self.group.sym
+        out: Coords = {}
+        for name, (x0, y0, x1, y1) in half.items():
+            if name in selfsym:
+                if abs(x0) > 1e-9:
+                    raise ValueError(
+                        f"self-symmetric module {name!r} packed off-axis (x={x0:g})"
+                    )
+                width = x1 - x0
+                out[name] = (-width, y0, width, y1)
+            else:
+                out[name] = (x0, y0, x1, y1)
+                # Rect.mirrored_x(0.0): (2.0 * 0.0 - x1, y0, 2.0 * 0.0 - x0, y1)
+                out[sym(name)] = (0.0 - x1, y0, 0.0 - x0, y1)
+        return normalize_bounded(out, bounding_of(out.values()))
 
 
 class ASFMoveSet:

@@ -30,11 +30,11 @@ from ..circuit import (
     HierarchyNode,
     SymmetryGroup,
 )
-from ..geometry import ModuleSet, Placement, Rect
+from ..geometry import ModuleSet, Placement
 from ..perf.coords import (
     Coords,
     bounding_of,
-    normalize_coords,
+    normalize_bounded,
     placement_to_coords,
 )
 from ..perf.kernel import Skyline, pack_tree_coords
@@ -46,6 +46,9 @@ from .tree import BStarTree
 
 
 _ISLAND = "__island__"
+
+#: a normalized subtree coordinate table and its ``(width, height)``
+Subtree = tuple[Coords, tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -83,9 +86,21 @@ class HBStarTreePlacement:
         # Levels pack strictly bottom-up, so one reusable skyline serves
         # every level of every coordinate-tier pack.
         self._skyline = Skyline()
+        # node name -> normalized common-centroid array per grid variant:
+        # an array is a pure function of (group, variant), and a group
+        # has at most two variants, so all are built once, up front
+        self._cc_arrays: dict[str, tuple[Subtree, ...]] = {}
         for node in hierarchy.walk():
             if isinstance(node.constraint, SymmetryGroup):
                 self._asf_moves[node.name] = ASFMoveSet(modules, node.constraint)
+            elif isinstance(node.constraint, CommonCentroidGroup):
+                arrays = []
+                for variant in range(n_variants(node.constraint)):
+                    coords = placement_to_coords(
+                        common_centroid_placement(node.constraint, modules, variant=variant)
+                    )
+                    arrays.append(normalize_bounded(coords, bounding_of(coords.values())))
+                self._cc_arrays[node.name] = tuple(arrays)
 
     # -- level items -------------------------------------------------------------
 
@@ -182,72 +197,69 @@ class HBStarTreePlacement:
 
         Same recursion, same arithmetic, but the per-level merge moves
         4-tuples between dicts instead of building intermediate
-        ``Placement`` objects — only the small symmetry-island and
-        common-centroid sub-placements still go through the object tier.
-        Coordinates are bit-identical to ``pack(state)``.
+        ``Placement`` objects, and symmetry islands and common-centroid
+        arrays are packed as coordinate tables too.  Coordinates are
+        bit-identical to ``pack(state)``.
         """
-        return normalize_coords(self._pack_node_coords(self._hierarchy, state))
+        return self._pack_node_coords(self._hierarchy, state)[0]
 
-    def _pack_node_coords(self, node: HierarchyNode, state: HBState) -> Coords:
-        sub_coords: dict[str, Coords] = {}
+    def _pack_node_coords(self, node: HierarchyNode, state: HBState) -> Subtree:
+        sub: dict[str, Subtree] = {}
         for child in node.children:
-            sub_coords[child.name] = normalize_coords(
-                self._pack_node_coords(child, state)
-            )
-        return self.pack_level_coords(node, state, sub_coords)
+            sub[child.name] = self._pack_node_coords(child, state)
+        return self.pack_level_coords(node, state, sub)
 
     def pack_level_coords(
         self,
         node: HierarchyNode,
         state: HBState,
-        sub_coords: dict[str, Coords],
-    ) -> Coords:
-        """Pack one hierarchy level given its children's subtree coords.
+        sub: dict[str, Subtree],
+    ) -> Subtree:
+        """Pack one hierarchy level given its children's subtrees.
 
-        ``sub_coords`` maps child hierarchy-node names to their already
-        *normalized* subtree coordinate tables (exactly what the
-        recursion produces); constraint blocks (symmetry island /
-        common-centroid array) are added here.  Factored out of
-        :meth:`_pack_node_coords` so the incremental engine can feed
-        cached child tables without re-descending unchanged subtrees.
+        ``sub`` maps child hierarchy-node names to their normalized
+        subtree tables with the tables' ``(width, height)`` — exactly
+        what this method returns, so the recursion (and the incremental
+        engine, which feeds cached children without re-descending
+        unchanged subtrees) never rescans a child table.  Constraint
+        blocks (symmetry island / common-centroid array) are added here.
+
+        The level's bounding box is that of its packed items: a child
+        table is anchored at the origin with extent ``(w, h)``, so its
+        translated entries span exactly the item rectangle
+        ``(x, y, x + w, y + h)`` the level tree packed it into.
         """
         level = state.levels[node.name]
 
         if isinstance(node.constraint, SymmetryGroup):
-            island = level.asf.pack(self._modules).normalized()
-            sub_coords[_ISLAND] = placement_to_coords(island)
+            sub[_ISLAND] = level.asf.pack_coords(self._modules, self._skyline)
         elif isinstance(node.constraint, CommonCentroidGroup):
-            array = placement_to_coords(
-                common_centroid_placement(
-                    node.constraint, self._modules, variant=level.cc_variant
-                ).normalized()
-            )
+            array = self._cc_arrays[node.name][level.cc_variant]
             if _ISLAND in level.tree:
-                sub_coords[_ISLAND] = array
+                sub[_ISLAND] = array
             else:
                 # The level consists of the array alone.
                 return array
 
         sizes: dict[str, tuple[float, float]] = {}
         for item in level.tree.nodes():
-            inner = sub_coords.get(item)
+            inner = sub.get(item)
             if inner is not None:
-                x0, y0, x1, y1 = bounding_of(inner.values())
-                sizes[item] = (x1 - x0, y1 - y0)
+                sizes[item] = inner[1]
             else:
                 sizes[item] = self._modules[item].footprint()
         rects = pack_tree_coords(level.tree, sizes, self._skyline)
 
         out: Coords = {}
         for item, rect in rects.items():
-            inner = sub_coords.get(item)
+            inner = sub.get(item)
             if inner is not None:
                 dx, dy = rect[0], rect[1]
-                for name, (a, b, c, d) in inner.items():
+                for name, (a, b, c, d) in inner[0].items():
                     out[name] = (a + dx, b + dy, c + dx, d + dy)
             else:
                 out[item] = rect
-        return out
+        return normalize_bounded(out, bounding_of(rects.values()))
 
     # -- perturbation ------------------------------------------------------------
 
@@ -320,8 +332,10 @@ class HBIncrementalEngine:
     Implements the :class:`repro.anneal.IncrementalEngine` protocol.  A
     perturbation touches exactly one level, so only the path from that
     level to the hierarchy root needs repacking: every other node's
-    subtree coordinates are served from a cache of normalized tables.
-    The merged root table is then diffed module-by-module against the
+    subtree coordinates are served from a cache of normalized tables,
+    each stored with its ``(width, height)`` so neither a parent level
+    nor the cost model ever rescans a table for its bounding box.  The
+    merged root table is then diffed module-by-module against the
     last committed placement by the unified model's
     :class:`~repro.cost.CostEvaluator`, whose
     :class:`~repro.cost.DeltaHPWL` rescans only the nets of modules
@@ -350,12 +364,15 @@ class HBIncrementalEngine:
             for child in node.children:
                 self._parents[child.name] = node.name
         self._state: HBState | None = None
-        self._cache: dict[str, Coords] = {}
+        # hierarchy-node name -> normalized subtree table and extent;
+        # a commit replaces entries, so the cache never outgrows the
+        # hierarchy
+        self._cache: dict[str, Subtree] = {}
         self._cost = float("inf")
         # pending proposal
         self._pending_state: HBState | None = None
         self._pending_cost = float("inf")
-        self._overlay: dict[str, Coords] = {}
+        self._overlay: dict[str, Subtree] = {}
         self._dirty: frozenset[str] = frozenset()
         self._proposed = False
 
@@ -367,11 +384,11 @@ class HBIncrementalEngine:
         self._cache = {}
         self._overlay = {}
         self._dirty = frozenset(self._parents)
-        coords = self._pack_cached(self._hb._hierarchy, state)
+        coords, (width, height) = self._pack_cached(self._hb._hierarchy, state)
         self._cache.update(self._overlay)
         self._overlay = {}
         self._dirty = frozenset()
-        self._cost = self._eval.reset(coords)
+        self._cost = self._eval.reset(coords, bounding=(0.0, 0.0, width, height))
         return self._cost
 
     def initial_cost(self) -> float:
@@ -398,9 +415,14 @@ class HBIncrementalEngine:
             walk = self._parents[walk]
         self._dirty = frozenset(dirty)
         self._overlay = {}
-        coords = self._pack_cached(self._hb._hierarchy, candidate)
+        coords, (width, height) = self._pack_cached(self._hb._hierarchy, candidate)
         self._pending_state = candidate
-        self._pending_cost = self._eval.propose(coords)
+        # The root table is normalized, so its bounding box is its
+        # extent at the origin (the area and aspect terms read only the
+        # box's width and height).
+        self._pending_cost = self._eval.propose(
+            coords, bounding=(0.0, 0.0, width, height)
+        )
         return self._pending_cost
 
     def commit(self) -> None:
@@ -430,20 +452,20 @@ class HBIncrementalEngine:
         self._dirty = frozenset()
         self._proposed = False
 
-    def _pack_cached(self, node, state: HBState) -> Coords:
-        """Normalized subtree coords for ``node``, cached off-path.
+    def _pack_cached(self, node, state: HBState) -> Subtree:
+        """Normalized subtree table and extent for ``node``, cached off-path.
 
-        Matches ``normalize_coords(hb._pack_node_coords(node, state))``
-        bit for bit: unchanged subtrees return their cached table (the
-        same floats a recompute would produce), dirty ones recompute
-        through the shared :meth:`HBStarTreePlacement.pack_level_coords`.
+        Matches ``hb._pack_node_coords(node, state)`` bit for bit:
+        unchanged subtrees return their cached entry (the same floats a
+        recompute would produce), dirty ones recompute through the
+        shared :meth:`HBStarTreePlacement.pack_level_coords`.
         """
         name = node.name
         if name not in self._dirty:
             return self._cache[name]
-        sub_coords: dict[str, Coords] = {}
+        sub: dict[str, Subtree] = {}
         for child in node.children:
-            sub_coords[child.name] = self._pack_cached(child, state)
-        out = normalize_coords(self._hb.pack_level_coords(node, state, sub_coords))
+            sub[child.name] = self._pack_cached(child, state)
+        out = self._hb.pack_level_coords(node, state, sub)
         self._overlay[name] = out
         return out

@@ -9,9 +9,9 @@ placement validators used by tests and by the placers' legality checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from ..geometry import Placement, Rect
+from ..geometry import Placement
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,19 +186,33 @@ class ProximityGroup:
         considered adjacent.
         """
         rects = [placement[m].rect for m in self.members_ if m in placement]
+        return self.connects([(r.x0, r.y0, r.x1, r.y1) for r in rects], tol=tol)
+
+    def connects(
+        self, rects: Sequence[tuple[float, float, float, float]], *, tol: float = 1e-6
+    ) -> bool:
+        """:meth:`is_satisfied` over the placed members' ``(x0, y0, x1,
+        y1)`` tuples, in member order (the coordinate tier's entry)."""
         if len(rects) <= 1:
             return True
         return rects_connected(rects, self.margin + tol)
 
 
-def rects_connected(rects: list[Rect], gap: float) -> bool:
-    """Union-find connectivity of rectangles under a ``gap`` tolerance.
+def rects_connected(
+    rects: Sequence[tuple[float, float, float, float]], gap: float
+) -> bool:
+    """Union-find connectivity of ``(x0, y0, x1, y1)`` rectangles under a
+    ``gap`` tolerance.
 
-    Public so the coordinate-tier proximity check in :mod:`repro.cost`
-    can share the exact same adjacency logic (no cross-package private
-    imports; ``tools/check_private_imports.py`` enforces this).
+    Two rectangles are adjacent when, each inflated by ``gap / 2`` with
+    the float operations of :meth:`Rect.inflated`, they overlap or touch
+    (the non-strict :meth:`Rect.overlaps`).  Works on plain tuples so
+    the coordinate-tier proximity check in :mod:`repro.cost` shares it
+    without building a single :class:`Rect`.
     """
     n = len(rects)
+    half = gap / 2.0
+    grown = [(x0 - half, y0 - half, x1 + half, y1 + half) for x0, y0, x1, y1 in rects]
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -207,14 +221,12 @@ def rects_connected(rects: list[Rect], gap: float) -> bool:
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        parent[find(i)] = find(j)
-
     for i in range(n):
-        gi = rects[i].inflated(gap / 2.0)
+        ax0, ay0, ax1, ay1 = grown[i]
         for j in range(i + 1, n):
-            if gi.overlaps(rects[j].inflated(gap / 2.0), strict=False):
-                union(i, j)
+            bx0, by0, bx1, by1 = grown[j]
+            if ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1:
+                parent[find(i)] = find(j)
     root = find(0)
     return all(find(i) == root for i in range(n))
 

@@ -14,6 +14,14 @@ nothing but an ordered tuple of them.  Two evaluation tiers:
   :class:`HPWLTerm` -> :class:`~repro.cost.DeltaHPWL`); stateless terms
   return ``None`` and are simply recomputed, which is exact and — for
   area/aspect off a maintained bounding box — already O(1).
+  :class:`ProximityTerm` is recomputed too, but remembers each group's
+  last member coordinates and verdict, so only groups with a moved
+  member run the connectivity check.
+
+Nothing here allocates geometry objects: coordinates stay ``(x0, y0,
+x1, y1)`` tuples, and proximity connectivity is the tuple
+:func:`~repro.circuit.constraints.rects_connected` shared with
+:meth:`ProximityGroup.is_satisfied`.
 
 Bit-identity contract
 =====================
@@ -34,8 +42,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from ..circuit.constraints import ConstraintSet, ProximityGroup, rects_connected
-from ..geometry import Rect
+from ..circuit.constraints import ConstraintSet, ProximityGroup
 from .hpwl import DeltaHPWL, hpwl_of, resolve_nets
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -46,12 +53,16 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 EMPTY_BOUNDING = (0.0, 0.0, 0.0, 0.0)
 
 
+def _member_coords(
+    group: ProximityGroup, coords: Coords
+) -> tuple[tuple[float, float, float, float], ...]:
+    """The placed members' coordinate tuples, in member order."""
+    return tuple(coords[m] for m in group.members_ if m in coords)
+
+
 def proximity_satisfied(group: ProximityGroup, coords: Coords, *, tol: float = 1e-6) -> bool:
     """Coordinate-table twin of :meth:`ProximityGroup.is_satisfied`."""
-    rects = [Rect(*coords[m]) for m in group.members_ if m in coords]
-    if len(rects) <= 1:
-        return True
-    return rects_connected(rects, group.margin + tol)
+    return group.connects(_member_coords(group, coords), tol=tol)
 
 
 class CostTerm:
@@ -227,16 +238,33 @@ class ProximityTerm(CostTerm):
     Adds ``weight`` once per group whose members do not form a single
     connected cluster — separate additions in group order, replicating
     the legacy accumulation bit for bit.
+
+    Connectivity is a pure function of the members' coordinates, so
+    each group remembers the member tuples it was last checked on and
+    its verdict: a group none of whose members moved since is not
+    re-checked.  The memo holds one entry per group (it is overwritten,
+    never grown) and is keyed by value, so it stays valid whatever
+    sequence of proposals, commits and rollbacks produced the table.
     """
 
     def __init__(self, weight: float, groups: tuple[ProximityGroup, ...]) -> None:
         super().__init__("proximity", weight)
         self.groups = tuple(groups)
+        # group index -> (member coords last checked, satisfied?)
+        self._seen: list[tuple[tuple, bool] | None] = [None] * len(self.groups)
 
     def accumulate(self, total, coords, hpwl, bounding, area, placement):
         if self.weight:
-            for group in self.groups:
-                if not proximity_satisfied(group, coords):
+            seen = self._seen
+            for i, group in enumerate(self.groups):
+                rects = _member_coords(group, coords)
+                last = seen[i]
+                if last is not None and last[0] == rects:
+                    satisfied = last[1]
+                else:
+                    satisfied = group.connects(rects)
+                    seen[i] = (rects, satisfied)
+                if not satisfied:
                     total += self.weight
         return total
 

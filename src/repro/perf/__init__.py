@@ -42,18 +42,17 @@ Modules
     bit-identity oracle.
 
 The cost side of the loop (term catalog, :class:`~repro.cost.CostModel`,
-delta HPWL) lives in :mod:`repro.cost`; ``DeltaHPWL`` / ``hpwl_of`` /
-``resolve_nets`` are re-exported here for backwards compatibility.
+``DeltaHPWL``, ``hpwl_of``, ``resolve_nets``) lives in :mod:`repro.cost`.
 """
 
 from .coords import (
     Coords,
     bounding_of,
     coords_to_placement,
+    normalize_bounded,
     normalize_coords,
     placement_to_coords,
 )
-from ..cost.hpwl import DeltaHPWL, hpwl_of, resolve_nets
 from .kernel import BStarKernel, Skyline, pack_tree_coords
 from .incremental import FullRepackBStarEngine, IncrementalBStarEngine
 from .vector import BatchCostEvaluator, VectorBStarEngine
@@ -62,16 +61,14 @@ __all__ = [
     "BStarKernel",
     "BatchCostEvaluator",
     "Coords",
-    "DeltaHPWL",
     "FullRepackBStarEngine",
     "IncrementalBStarEngine",
     "Skyline",
     "VectorBStarEngine",
     "bounding_of",
     "coords_to_placement",
-    "hpwl_of",
+    "normalize_bounded",
     "normalize_coords",
     "pack_tree_coords",
     "placement_to_coords",
-    "resolve_nets",
 ]

@@ -8,6 +8,11 @@ two tiers and mirror the float operations of the rich classes exactly
 (``x1`` is always ``x0 + width`` just like ``Rect.from_size``,
 normalization adds ``-min`` just like ``Placement.normalized``), so the
 two representations agree bit for bit.
+
+Packers that already know a table's bounding box (the HB*-tree forest
+reads it off the packed level items) normalize through
+:func:`normalize_bounded`, which returns the table's extent with it, so
+no table is scanned twice.
 """
 
 from __future__ import annotations
@@ -53,16 +58,30 @@ def normalize_coords(coords: Coords) -> Coords:
     """
     if not coords:
         return coords
-    x0, y0, _, _ = bounding_of(coords.values())
+    return normalize_bounded(coords, bounding_of(coords.values()))[0]
+
+
+def normalize_bounded(
+    coords: Coords, bounding: tuple[float, float, float, float]
+) -> tuple[Coords, tuple[float, float]]:
+    """:func:`normalize_coords` for a table whose bounding box is known.
+
+    Returns the normalized table and its ``(width, height)``.  Rounding
+    is monotone, so the normalized table's bounding box is exactly
+    ``(0, 0, width, height)`` with ``width = x1 - x0`` — callers keep
+    the extent next to the table instead of rescanning it.
+    """
+    x0, y0, x1, y1 = bounding
+    extent = (x1 - x0, y1 - y0)
     if x0 == 0.0 and y0 == 0.0:
         # Already anchored; skip the no-op translation (adding -0.0 is
         # the identity on every coordinate, including 0.0 itself).
-        return coords
+        return coords, extent
     dx, dy = -x0, -y0
     return {
         name: (a + dx, b + dy, c + dx, d + dy)
         for name, (a, b, c, d) in coords.items()
-    }
+    }, extent
 
 
 def placement_to_coords(placement: Placement) -> Coords:

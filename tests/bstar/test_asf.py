@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.bstar import ASFBStarTree, ASFMoveSet
 from repro.circuit import SymmetryGroup
 from repro.geometry import Module, ModuleSet
+from repro.perf import Skyline, placement_to_coords
 from tests.strategies import symmetric_problems
 
 
@@ -91,6 +92,52 @@ class TestIslandPacking:
         island = asf.pack(mods)
         assert island.is_overlap_free()
         assert group.symmetry_error(island) <= 1e-9
+
+
+class TestIslandCoords:
+    """``pack_coords`` is the flat twin of ``pack(...).normalized()``."""
+
+    @staticmethod
+    def _assert_twin(state, mods, skyline):
+        coords, (width, height) = state.pack_coords(mods, skyline)
+        island = state.pack(mods).normalized()
+        assert list(coords) == [p.name for p in island]  # placement order
+        assert coords == placement_to_coords(island)
+        bb = island.bounding_box()
+        assert (width, height) == (bb.width, bb.height)
+
+    @given(symmetric_problems(max_free=0), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_normalized_island_over_moves(self, problem, seed):
+        mods, group = problem
+        moves = ASFMoveSet(mods, group)
+        rng = random.Random(seed)
+        state = moves.initial_state(rng)
+        skyline = Skyline()  # reused across packs, as the forest does
+        for _ in range(10):
+            self._assert_twin(state, mods, skyline)
+            state = moves.propose(state, rng)
+
+    def test_rotated_representatives(self):
+        mods = ModuleSet.of(
+            [
+                Module.hard("a", 3, 2, rotatable=True),
+                Module.hard("b", 3, 2, rotatable=True),
+                Module.hard("c", 5, 1.5, rotatable=True),
+                Module.hard("d", 5, 1.5, rotatable=True),
+                Module.hard("s", 4, 2, rotatable=False),
+            ]
+        )
+        group = SymmetryGroup("g", pairs=(("a", "b"), ("c", "d")), self_symmetric=("s",))
+        moves = ASFMoveSet(mods, group, allow_rotation=True)
+        rng = random.Random(4)
+        state = moves.initial_state(rng)
+        rotated = False
+        for _ in range(40):
+            self._assert_twin(state, mods, None)
+            rotated = rotated or bool(state.orientations)
+            state = moves.propose(state, rng)
+        assert rotated
 
 
 class TestASFMoves:

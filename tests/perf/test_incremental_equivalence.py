@@ -29,21 +29,19 @@ from repro.anneal import (
 from repro.bstar import BStarPlacer, BStarPlacerConfig, HierarchicalPlacer
 from repro.bstar.hb_tree import HBIncrementalEngine, HBStarTreePlacement
 from repro.circuit import fig2_design, miller_opamp, simple_testcase
-from repro.geometry import Module, ModuleSet, Net
-from repro.cost import model_for_config
+from repro.geometry import Module, ModuleSet, Net, PlacedModule, Placement, Rect
+from repro.cost import DeltaHPWL, hpwl_of, model_for_config, resolve_nets
 from repro.perf import (
     BStarKernel,
-    DeltaHPWL,
     FullRepackBStarEngine,
     IncrementalBStarEngine,
-    hpwl_of,
-    resolve_nets,
 )
-from repro.perf.coords import placement_to_coords
+from repro.perf.coords import bounding_of, placement_to_coords
 from repro.seqpair import SequencePairPlacer
 from repro.seqpair.placer import PlacerConfig, _SeqPairEngine
 from repro.slicing import SlicingPlacer, SlicingPlacerConfig
 from repro.slicing.placer import _SlicingEngine
+from repro.workloads import resolve_workload
 
 from tests.strategies import mixed_module_sets
 
@@ -352,6 +350,78 @@ class TestHBIncrementalEngine:
         assert incremental.placement.positions() == placer._hb.pack(
             functional.best_state
         ).positions()
+
+
+    def test_constrained_generated_circuit_with_cached_extents(self):
+        """A generated circuit nesting symmetry islands and proximity
+        groups in a three-level hierarchy, over 300 mixed commits and
+        rollbacks: every cost equals the uncached functional path bit
+        for bit, and every cached extent is its table's bounding box."""
+        circuit = resolve_workload("gen:n=150,seed=3")
+        constraints = circuit.constraints()
+        assert constraints.symmetry and constraints.proximity
+        config = BStarPlacerConfig()
+        modules = circuit.modules()
+        hb = HBStarTreePlacement(circuit.hierarchy, modules)
+        fast = model_for_config(modules, circuit.nets, constraints.proximity, config)
+        engine = HBIncrementalEngine(
+            hb, modules, circuit.nets, constraints.proximity, config
+        )
+        state = hb.initial_state(random.Random(5))
+        assert engine.reset(state) == fast(hb.pack_coords(state))
+        nodes = {n.name for n in circuit.hierarchy.walk()}
+        walk = random.Random(6)
+        accept = random.Random(7)
+        for step in range(300):
+            cost = engine.propose(walk)
+            candidate = engine._pending_state or engine.snapshot()
+            assert cost == fast(hb.pack_coords(candidate)), f"step {step}"
+            if accept.random() < 0.5:
+                engine.commit()
+            else:
+                engine.rollback()
+            assert engine._cost == fast(hb.pack_coords(engine.snapshot())), f"step {step}"
+            # one entry per hierarchy node: commits replace, never accumulate
+            assert set(engine._cache) == nodes
+            for name, (table, (width, height)) in engine._cache.items():
+                x0, y0, x1, y1 = bounding_of(table.values())
+                assert (x0, y0) == (0.0, 0.0), name
+                assert (x1 - x0, y1 - y0) == (width, height), name
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: resolve_workload("gen:n=150,seed=3"), fig2_design],
+        ids=["gen150", "fig2"],
+    )
+    def test_proposals_build_no_rich_objects(self, make, monkeypatch):
+        """The propose path runs on coordinate tuples end to end: no
+        Rect, PlacedModule or Placement is constructed, symmetry islands
+        and common-centroid arrays included."""
+        circuit = make()
+        placer = HierarchicalPlacer(circuit, BStarPlacerConfig())
+        engine = placer.engine()
+        rng = random.Random(1)
+        engine.reset(placer.initial_state(rng))
+        built = []
+        for cls in (Rect, PlacedModule, Placement):
+            original = cls.__post_init__
+
+            def counting(self, _original=original, _name=cls.__name__):
+                built.append(_name)
+                _original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        accept = random.Random(2)
+        for _ in range(300):
+            engine.propose(rng)
+            if accept.random() < 0.5:
+                engine.commit()
+            else:
+                engine.rollback()
+        assert built == []
+        # the counter is live: materializing the result builds objects
+        placer.finalize(engine.snapshot())
+        assert {"Rect", "PlacedModule", "Placement"} <= set(built)
 
 
 class TestSeqPairEngine:

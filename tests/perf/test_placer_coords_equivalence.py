@@ -9,7 +9,8 @@ import pytest
 
 from repro.circuit import SymmetryGroup
 from repro.geometry import Module, ModuleSet, Net, Placement, Rect, total_hpwl
-from repro.perf import hpwl_of, placement_to_coords, resolve_nets
+from repro.cost import hpwl_of, resolve_nets
+from repro.perf import placement_to_coords
 from repro.seqpair import SequencePairPlacer
 from repro.seqpair.moves import SymmetricMoveSet
 from repro.seqpair.placer import PlacerConfig
