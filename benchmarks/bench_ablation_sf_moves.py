@@ -13,7 +13,12 @@ from __future__ import annotations
 
 import random
 
-from repro.anneal import Annealer, FunctionMoveSet, GeometricSchedule
+from repro.anneal import (
+    FunctionMoveSet,
+    GeometricSchedule,
+    IncrementalAnnealer,
+    StateEngine,
+)
 from repro.circuit import fig1_modules
 from repro.seqpair import (
     PlacerConfig,
@@ -44,8 +49,8 @@ def penalty_anneal(modules, group, seed: int, penalty_weight: float = 2.0):
 
     rng = random.Random(seed)
     schedule = GeometricSchedule(alpha=0.9, steps_per_epoch=40, t_final=1e-4)
-    annealer = Annealer(cost, FunctionMoveSet(move), schedule, rng)
-    outcome = annealer.run(SequencePair.random(names, rng))
+    engine = StateEngine(cost, FunctionMoveSet(move), SequencePair.random(names, rng))
+    outcome = IncrementalAnnealer(engine, schedule, rng).run()
     return pack_lcs(outcome.best_state, modules)
 
 

@@ -17,9 +17,12 @@ B*-tree placer through the evaluation tiers, slowest to fastest:
   on rejection.
 
 The object and kernel paths drive the same annealer, moves, schedule
-and seed and must land on a bit-identical best cost.  The incremental
-path draws its own (identically distributed) walk; its best cost is
-asserted bit-identical against :class:`FullRepackBStarEngine`, which
+and seed and must land on a bit-identical best cost.  The object-tier
+packer, the functional move set, the full-repack engine and the inlined
+legacy cost formulas are the reference implementations kept in
+``tests/oracles.py``.  The
+incremental path draws its own (identically distributed) walk; its best
+cost is asserted bit-identical against ``FullRepackBStarEngine``, which
 replays the *same* walk with full per-step repacks — speed changes,
 answers don't.
 
@@ -46,24 +49,29 @@ import argparse
 import json
 import platform
 import random
+import sys
 import time
 from pathlib import Path
 
-from repro.anneal import Annealer, GeometricSchedule, IncrementalAnnealer
-from repro.bstar import BStarPlacerConfig
-from repro.bstar.packing import pack
-from repro.bstar.perturb import BStarMoveSet
-from repro.bstar.tree import BStarTree
-from repro.cost import hpwl_of, resolve_nets
-from repro.geometry import Module, ModuleSet, Net, total_hpwl
-from repro.perf import (
-    BStarKernel,
+REPO_ROOT = Path(__file__).resolve().parent.parent
+# the reference tiers live in tests/oracles.py
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from repro.anneal import GeometricSchedule, IncrementalAnnealer, StateEngine  # noqa: E402
+from repro.bstar import BStarPlacerConfig  # noqa: E402
+from repro.bstar.tree import BStarTree  # noqa: E402
+from repro.geometry import Module, ModuleSet, Net  # noqa: E402
+from repro.perf import BStarKernel, IncrementalBStarEngine  # noqa: E402
+from tests.oracles import (  # noqa: E402
+    BStarMoveSet,
     FullRepackBStarEngine,
-    IncrementalBStarEngine,
-    bounding_of,
+    flat_cost,
+    object_cost,
+    pack,
 )
 
-JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf_kernel.json"
+JSON_PATH = REPO_ROOT / "BENCH_perf_kernel.json"
 
 #: PR-1 acceptance bar: kernel vs object path at 50 modules
 TARGET_SPEEDUP = 5.0
@@ -88,51 +96,6 @@ def problem(n: int, seed: int = 0) -> tuple[ModuleSet, tuple[Net, ...]]:
     return modules, tuple(nets)
 
 
-def _legacy_object_cost(modules, nets, config):
-    """The pre-PR-4 object-tier cost formula (``_CostModel``), inlined
-    so the baseline tier keeps measuring what it always measured."""
-    area_scale = max(modules.total_module_area(), 1e-12)
-    wl_scale = max(area_scale**0.5 * max(len(nets), 1), 1e-12)
-
-    def cost(placement) -> float:
-        bb = placement.bounding_box()
-        total = config.area_weight * bb.area / area_scale
-        if nets and config.wirelength_weight:
-            total += config.wirelength_weight * total_hpwl(nets, placement) / wl_scale
-        if config.aspect_weight and bb.width > 0 and bb.height > 0:
-            ratio = bb.height / bb.width
-            deviation = max(ratio, 1.0 / ratio) / max(config.target_aspect, 1e-12)
-            total += config.aspect_weight * max(0.0, deviation - 1.0)
-        return total
-
-    return cost
-
-
-def _legacy_flat_eval(modules, nets, config):
-    """Hand-inlined replica of the pre-PR-4 monolithic flat-coordinate
-    evaluation (``FastCostModel.evaluate``): the yardstick the unified
-    model's per-term dispatch overhead is measured against."""
-    resolved = resolve_nets(nets, modules.names())
-    has_nets = bool(nets)
-    area_scale = max(modules.total_module_area(), 1e-12)
-    wl_scale = max(area_scale**0.5 * max(len(nets), 1), 1e-12)
-
-    def evaluate(coords) -> float:
-        bx0, by0, bx1, by1 = bounding_of(coords.values())
-        width = bx1 - bx0
-        height = by1 - by0
-        cost = config.area_weight * (width * height) / area_scale
-        if has_nets and config.wirelength_weight:
-            cost += config.wirelength_weight * hpwl_of(resolved, coords) / wl_scale
-        if config.aspect_weight and width > 0 and height > 0:
-            ratio = height / width
-            deviation = max(ratio, 1.0 / ratio) / max(config.target_aspect, 1e-12)
-            cost += config.aspect_weight * max(0.0, deviation - 1.0)
-        return cost
-
-    return evaluate
-
-
 def measure_cost_eval(
     n: int, config: BStarPlacerConfig, *, evals: int = 4000, repeats: int = 3
 ) -> dict:
@@ -146,7 +109,7 @@ def measure_cost_eval(
     modules, nets = problem(n)
     kernel = BStarKernel(modules, nets, (), config)
     model = kernel.model
-    legacy = _legacy_flat_eval(modules, nets, config)
+    legacy = flat_cost(modules, nets, (), config)
     rng = random.Random(config.seed)
     tables = [
         dict(kernel.pack(BStarTree.random(modules.names(), rng))) for _ in range(8)
@@ -180,9 +143,9 @@ def measure(n: int, config: BStarPlacerConfig, repeats: int = 3) -> dict:
     """Best-of-``repeats`` steps/sec for all three evaluation tiers."""
     modules, nets = problem(n)
     kernel = BStarKernel(modules, nets, (), config)
-    reference = _legacy_object_cost(modules, nets, config)
+    reference = object_cost(modules, nets, (), config)
 
-    def object_cost(state):
+    def object_tier_cost(state):
         return reference(pack(state.tree, modules, state.orientations, state.variants))
 
     def kernel_cost(state):
@@ -198,10 +161,10 @@ def measure(n: int, config: BStarPlacerConfig, repeats: int = 3) -> dict:
 
     def run_functional(cost_fn) -> tuple[float, float]:
         rng = random.Random(config.seed)
-        annealer = Annealer(cost_fn, moves, schedule, rng)
-        initial = moves.initial_state(rng)
+        engine = StateEngine(cost_fn, moves, moves.initial_state(rng))
+        annealer = IncrementalAnnealer(engine, schedule, rng)
         t0 = time.perf_counter()
-        outcome = annealer.run(initial)
+        outcome = annealer.run()
         elapsed = time.perf_counter() - t0
         return outcome.stats.steps / elapsed, outcome.best_cost
 
@@ -218,7 +181,7 @@ def measure(n: int, config: BStarPlacerConfig, repeats: int = 3) -> dict:
     object_sps = kernel_sps = incremental_sps = 0.0
     object_cost_best = kernel_cost_best = incremental_best = twin_best = None
     for _ in range(repeats):
-        sps, object_cost_best = run_functional(object_cost)
+        sps, object_cost_best = run_functional(object_tier_cost)
         object_sps = max(object_sps, sps)
         sps, kernel_cost_best = run_functional(kernel_cost)
         kernel_sps = max(kernel_sps, sps)

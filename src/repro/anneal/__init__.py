@@ -2,7 +2,6 @@
 
 from .annealer import (
     CHECKPOINT_VERSION,
-    Annealer,
     AnnealingResult,
     AnnealingStats,
     FunctionMoveSet,
@@ -11,7 +10,6 @@ from .annealer import (
     MoveSet,
     StateEngine,
     WalkCheckpoint,
-    WeightedMoveSet,
     checkpoint_from_payload,
     checkpoint_payload,
 )
@@ -25,7 +23,6 @@ from .schedule import (
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "Annealer",
     "AnnealingResult",
     "AnnealingStats",
     "BatchEngine",
@@ -39,7 +36,6 @@ __all__ = [
     "MoveSet",
     "StateEngine",
     "WalkCheckpoint",
-    "WeightedMoveSet",
     "checkpoint_from_payload",
     "checkpoint_payload",
     "initial_temperature_from_samples",

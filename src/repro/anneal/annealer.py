@@ -2,26 +2,20 @@
 
 Both topological placers (sequence-pair, section II; B*-tree forests,
 section III) share this engine.  The engine is deliberately ignorant of
-layout: it manipulates opaque *states* through a :class:`MoveSet` and a
-cost function, implementing stochastically controlled hill-climbing with
-best-state tracking.
+layout: it drives an :class:`IncrementalEngine` that owns the current
+state and evaluates each perturbation in place (``propose ->
+delta-eval -> commit/rollback``), implementing stochastically
+controlled hill-climbing with best-state tracking.  Rejection rolls the
+perturbation back instead of discarding a copied state, so engines can
+reuse every cache that the move did not touch (see
+:mod:`repro.perf.incremental`).
 
-Two driving modes are provided:
-
-* :class:`Annealer` — the classic functional loop: ``propose`` returns a
-  brand-new state, the cost function evaluates it from scratch, and a
-  rejected candidate is simply dropped.
-* :class:`IncrementalAnnealer` — the incremental protocol: a single
-  mutable *engine* owns the current state and evaluates each
-  perturbation in place (``propose -> delta-eval -> commit/rollback``).
-  Rejection rolls the perturbation back instead of discarding a copied
-  state, so engines can reuse every cache that the move did not touch
-  (see :mod:`repro.perf.incremental`).
-
-Both loops consume randomness identically (one draw sequence per
-proposal plus one acceptance draw per uphill move), so an engine that
-mirrors a :class:`MoveSet`'s draws reproduces the functional loop's
-trajectory bit for bit.
+:class:`StateEngine` adapts a functional :class:`MoveSet` + cost
+function to the protocol, so one loop, :class:`IncrementalAnnealer`,
+serves every placer and the sizing optimizer.  It consumes randomness
+like the textbook loop over immutable states (one draw sequence per
+proposal plus one acceptance draw per uphill move); that loop is kept
+as a test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -151,102 +145,6 @@ class WalkCheckpoint:
         return self.step >= self.total_steps
 
 
-class Annealer(Generic[State]):
-    """Simulated annealing over an arbitrary state space.
-
-    Parameters
-    ----------
-    cost:
-        State → non-negative cost; lower is better.
-    moves:
-        Neighbor generator.
-    schedule:
-        Cooling schedule; when ``auto_t0`` is set the schedule's initial
-        temperature is rescaled from sampled uphill deltas.
-    rng:
-        Source of randomness (callers pass a seeded instance for
-        reproducibility).
-    """
-
-    def __init__(
-        self,
-        cost: Callable[[State], float],
-        moves: MoveSet[State],
-        schedule: CoolingSchedule | None = None,
-        rng: random.Random | None = None,
-        *,
-        auto_t0: bool = True,
-        trace_every: int = 0,
-    ) -> None:
-        self._cost = cost
-        self._moves = moves
-        self._schedule = schedule or GeometricSchedule()
-        self._rng = rng or random.Random(0)
-        self._auto_t0 = auto_t0
-        self._trace_every = trace_every
-
-    def run(self, initial: State) -> AnnealingResult[State]:
-        """Anneal from ``initial`` until the schedule is exhausted."""
-        rng = self._rng
-        current = initial
-        current_cost = self._cost(current)
-        best, best_cost = current, current_cost
-
-        stats = AnnealingStats(initial_cost=current_cost, best_cost=current_cost)
-
-        t_scale = 1.0
-        if self._auto_t0:
-            t_scale = self._warmup_scale(initial, current_cost)
-
-        # Hot loop: hoist every attribute lookup that is invariant per
-        # step; bookkeeping that only the final value of matters
-        # (final_temperature) is folded out of the loop.
-        temperature_at = self._schedule.temperature
-        propose = self._moves.propose
-        cost_of = self._cost
-        random_unit = rng.random
-        exp = math.exp
-        trace_every = self._trace_every
-        temperature = 0.0
-
-        total = self._schedule.total_steps
-        for step in range(total):
-            temperature = temperature_at(step) * t_scale
-            candidate = propose(current, rng)
-            candidate_cost = cost_of(candidate)
-            delta = candidate_cost - current_cost
-
-            if delta <= 0 or random_unit() < exp(-delta / max(temperature, 1e-300)):
-                current, current_cost = candidate, candidate_cost
-                stats.accepted += 1
-                if current_cost < best_cost:
-                    best, best_cost = current, current_cost
-                    stats.improved += 1
-            if trace_every and step % trace_every == 0:
-                stats.cost_trace.append(current_cost)
-
-        stats.steps = total
-        if total:
-            stats.final_temperature = temperature
-        stats.best_cost = best_cost
-        return AnnealingResult(best_state=best, best_cost=best_cost, stats=stats)
-
-    def _warmup_scale(self, initial: State, initial_cost: float, samples: int = 32) -> float:
-        """Rescale the schedule's T0 from sampled uphill move deltas."""
-        deltas = []
-        state, cost = initial, initial_cost
-        for _ in range(samples):
-            nxt = self._moves.propose(state, self._rng)
-            nxt_cost = self._cost(nxt)
-            deltas.append(nxt_cost - cost)
-            state, cost = nxt, nxt_cost
-        t0 = initial_temperature_from_samples(deltas)
-        base_t0 = self._schedule.temperature(0)
-        if base_t0 <= 0:
-            return 1.0
-        return t0 / base_t0
-
-
 class IncrementalEngine(Protocol):
     """Mutable annealing state with propose/commit/rollback semantics.
 
@@ -268,8 +166,7 @@ class IncrementalEngine(Protocol):
         """Adopt ``state`` as the current state; return its cost.
 
         Used by the annealer to restore the pre-warmup state (the
-        warmup walk samples uphill deltas and is then discarded, exactly
-        like the functional loop's)."""
+        warmup walk samples uphill deltas and is then discarded)."""
         ...
 
     def propose(self, rng: random.Random) -> float:
@@ -295,9 +192,7 @@ class StateEngine(Generic[State]):
     ``propose`` builds a candidate state through the move set (the input
     state is never mutated), so ``rollback`` is O(1) — the candidate is
     simply dropped — and ``commit`` swaps one reference.  Used by placers
-    whose packing is not (yet) incremental; it consumes randomness
-    exactly like :class:`Annealer` over the same move set, keeping
-    trajectories identical.
+    whose packing is not (yet) incremental and by the sizing optimizer.
     """
 
     def __init__(self, cost: Callable[[State], float], moves: MoveSet[State], initial: State) -> None:
@@ -336,13 +231,11 @@ class StateEngine(Generic[State]):
 class IncrementalAnnealer:
     """Simulated annealing over an :class:`IncrementalEngine`.
 
-    Drives the same accept/reject schedule as :class:`Annealer`, but the
-    state lives inside the engine: every step is ``propose`` followed by
-    ``commit`` (accepted) or ``rollback`` (rejected), with no state
-    copies anywhere in the loop.  Randomness is consumed exactly like
-    :class:`Annealer` (engine draws, then one acceptance draw for uphill
-    moves), so an engine mirroring a move set's draws reproduces the
-    functional trajectory bit for bit.
+    The state lives inside the engine: every step is ``propose``
+    followed by ``commit`` (accepted) or ``rollback`` (rejected), with
+    no state copies anywhere in the loop.  Randomness is consumed as
+    engine draws, then one acceptance draw for uphill moves, so two
+    engines that draw alike walk the same trajectory bit for bit.
     """
 
     def __init__(
@@ -404,9 +297,7 @@ class IncrementalAnnealer:
         start = engine.snapshot()
         if self._auto_t0:
             # Sample uphill deltas by walking random moves, then restore
-            # the starting state — the functional loop's warmup also
-            # rescales T0 from a discarded walk, and matching it keeps
-            # trajectories identical across the two drivers.
+            # the starting state: T0 is rescaled from a discarded walk.
             t_scale = self._warmup(current_cost)
             current_cost = engine.reset(start)
 
@@ -590,8 +481,8 @@ class IncrementalAnnealer:
     def _warmup(self, initial_cost: float, samples: int = 32) -> float:
         """Sample uphill deltas by walking (and committing) random moves.
 
-        Mirrors :meth:`Annealer._warmup_scale`: every sampled move is
-        taken.  The caller restores the starting state afterwards.
+        Every sampled move is taken; the caller restores the starting
+        state afterwards.
         """
         engine = self._engine
         deltas = []
@@ -606,24 +497,6 @@ class IncrementalAnnealer:
         if base_t0 <= 0:
             return 1.0
         return t0 / base_t0
-
-
-class WeightedMoveSet(Generic[State]):
-    """Combine several move generators with selection weights."""
-
-    def __init__(self, moves: list[tuple[float, MoveSet[State]]]) -> None:
-        if not moves:
-            raise ValueError("need at least one move generator")
-        weights = [w for w, _ in moves]
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ValueError("weights must be non-negative with positive sum")
-        self._moves = moves
-        self._weights = weights
-        self._generators = [m for _, m in moves]
-
-    def propose(self, state: State, rng: random.Random) -> State:
-        (chosen,) = rng.choices(self._generators, weights=self._weights, k=1)
-        return chosen.propose(state, rng)
 
 
 class FunctionMoveSet(Generic[State]):

@@ -7,11 +7,10 @@ from .common_centroid import (
     grid_options,
     n_variants,
 )
-from .contour import Contour
 from .count import catalan, count_bstar_trees, enumerate_bstar_trees
 from .hb_tree import HBStarTreePlacement, HBState, LevelState
-from .packing import pack, pack_sizes
-from .perturb import BStarMoveSet, BStarState
+from .packing import pack
+from .perturb import BStarState
 from .placer import (
     BStarPlacer,
     BStarPlacerConfig,
@@ -23,14 +22,12 @@ from .tree import BStarTree
 __all__ = [
     "ASFBStarTree",
     "ASFMoveSet",
-    "BStarMoveSet",
     "BStarPlacer",
     "BStarPlacerConfig",
     "BStarPlacerResult",
     "BStarState",
     "BStarTree",
     "CommonCentroidError",
-    "Contour",
     "HBStarTreePlacement",
     "HBState",
     "HierarchicalPlacer",
@@ -42,5 +39,4 @@ __all__ = [
     "grid_options",
     "n_variants",
     "pack",
-    "pack_sizes",
 ]

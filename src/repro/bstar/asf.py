@@ -24,10 +24,9 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from ..circuit import SymmetryGroup
-from ..geometry import ModuleSet, Orientation, PlacedModule, Placement, Rect
-from ..perf.coords import Coords, bounding_of, normalize_bounded
+from ..geometry import ModuleSet, Orientation, Placement
+from ..perf.coords import Coords, bounding_of, coords_to_placement, normalize_bounded
 from ..perf.kernel import Skyline, pack_tree_coords
-from .packing import pack_sizes
 from .tree import BStarTree
 
 
@@ -113,47 +112,33 @@ class ASFBStarTree:
             sizes[name] = (w, h)
         return sizes
 
-    def pack(self, modules: ModuleSet) -> Placement:
-        """The full symmetry island, mirrored about the axis x = 0."""
-        sizes = self._sizes(modules)
-        half = pack_sizes(self.tree, sizes)
-        selfsym = set(self.group.self_symmetric)
-        placed: list[PlacedModule] = []
-        for name, rect in half.items():
-            variant = self.variants.get(name, 0)
-            orient = self.orientations.get(name, Orientation.R0)
-            if name in selfsym:
-                if abs(rect.x0) > 1e-9:
-                    raise ValueError(
-                        f"self-symmetric module {name!r} packed off-axis (x={rect.x0:g})"
-                    )
-                full = Rect(-rect.width, rect.y0, rect.width, rect.y1)
-                placed.append(PlacedModule(modules[name], full, variant, orient))
-            else:
-                placed.append(PlacedModule(modules[name], rect, variant, orient))
-                partner = self.group.sym(name)
-                mirrored = rect.mirrored_x(0.0)
-                placed.append(
-                    PlacedModule(
-                        modules[partner],
-                        mirrored,
-                        variant,
-                        orient.mirrored_y(),
-                    )
-                )
-        return Placement.of(placed)
+    def island_overrides(self) -> tuple[dict[str, Orientation], dict[str, int]]:
+        """Orientation and variant of every island member.
 
-    def pack_coords(
-        self, modules: ModuleSet, skyline: Skyline | None = None
-    ) -> tuple[Coords, tuple[float, float]]:
-        """Flat twin of ``pack(modules).normalized()``: the island as a
-        normalized coordinate table, plus its ``(width, height)``.
+        A representative keeps its own orientation; its mirrored partner
+        gets that orientation mirrored about the y axis (R0 -> MY); both
+        members of a pair share the pair's variant.
+        """
+        orientations: dict[str, Orientation] = {}
+        variants: dict[str, int] = {}
+        selfsym = self.group.self_symmetric
+        for name in self.tree.nodes():
+            orient = self.orientations.get(name, Orientation.R0)
+            variant = self.variants.get(name, 0)
+            orientations[name] = orient
+            variants[name] = variant
+            if name not in selfsym:
+                partner = self.group.sym(name)
+                orientations[partner] = orient.mirrored_y()
+                variants[partner] = variant
+        return orientations, variants
+
+    def _island_coords(self, modules: ModuleSet, skyline: Skyline | None) -> Coords:
+        """The full island about the axis x = 0, in placement order.
 
         Packs the half-tree with :func:`~repro.perf.kernel.pack_tree_coords`
-        (pass a ``skyline`` to reuse its storage) and mirrors on tuples
-        with the float operations of :meth:`Rect.mirrored_x` about
-        ``x = 0``, so the table equals the rich island bit for bit,
-        placement order included.
+        and mirrors each representative about ``x = 0``; a self-symmetric
+        half node of width ``w`` becomes the full module ``(-w, w)``.
         """
         half = pack_tree_coords(self.tree, self._sizes(modules), skyline)
         selfsym = self.group.self_symmetric
@@ -169,8 +154,26 @@ class ASFBStarTree:
                 out[name] = (-width, y0, width, y1)
             else:
                 out[name] = (x0, y0, x1, y1)
-                # Rect.mirrored_x(0.0): (2.0 * 0.0 - x1, y0, 2.0 * 0.0 - x0, y1)
+                # 0.0 - x, not -x: an edge on the axis stays +0.0, as
+                # Rect.mirrored_x(0.0) computes it (2.0 * 0.0 - x)
                 out[sym(name)] = (0.0 - x1, y0, 0.0 - x0, y1)
+        return out
+
+    def pack(self, modules: ModuleSet) -> Placement:
+        """The full symmetry island, mirrored about the axis x = 0."""
+        orientations, variants = self.island_overrides()
+        return coords_to_placement(
+            self._island_coords(modules, None), modules, orientations, variants
+        )
+
+    def pack_coords(
+        self, modules: ModuleSet, skyline: Skyline | None = None
+    ) -> tuple[Coords, tuple[float, float]]:
+        """The island as a normalized coordinate table, plus its
+        ``(width, height)``: ``pack(modules).normalized()`` without
+        building the placement.  Pass a ``skyline`` to reuse its storage.
+        """
+        out = self._island_coords(modules, skyline)
         return normalize_bounded(out, bounding_of(out.values()))
 
 

@@ -30,18 +30,17 @@ from ..circuit import (
     HierarchyNode,
     SymmetryGroup,
 )
-from ..geometry import ModuleSet, Placement
+from ..geometry import ModuleSet, Orientation, Placement
 from ..perf.coords import (
     Coords,
     bounding_of,
+    coords_to_placement,
     normalize_bounded,
     placement_to_coords,
 )
 from ..perf.kernel import Skyline, pack_tree_coords
 from .asf import ASFBStarTree, ASFMoveSet
 from .common_centroid import common_centroid_placement, n_variants
-from .packing import pack_sizes
-from .perturb import BStarState
 from .tree import BStarTree
 
 
@@ -62,7 +61,6 @@ class LevelState:
     """
 
     tree: BStarTree = field(compare=False)
-    orientations: Mapping[str, object] = field(default_factory=dict)
     asf: ASFBStarTree | None = None
     cc_variant: int = 0
 
@@ -138,68 +136,31 @@ class HBStarTreePlacement:
     # -- packing ------------------------------------------------------------------
 
     def pack(self, state: HBState) -> Placement:
-        """Pack the full hierarchy; the result is normalized to origin."""
-        placement = self._pack_node(self._hierarchy, state)
-        return placement.normalized()
+        """Pack the full hierarchy; the result is normalized to origin.
 
-    def _pack_node(self, node: HierarchyNode, state: HBState) -> Placement:
-        level = state.levels[node.name]
-        sub_placements: dict[str, Placement] = {}
-
-        for child in node.children:
-            sub_placements[child.name] = self._pack_node(child, state).normalized()
-
-        if isinstance(node.constraint, SymmetryGroup):
-            island = level.asf.pack(self._modules).normalized()
-            sub_placements[_ISLAND] = island
-        elif isinstance(node.constraint, CommonCentroidGroup):
-            array = common_centroid_placement(
-                node.constraint, self._modules, variant=level.cc_variant
-            ).normalized()
-            if _ISLAND in level.tree:
-                sub_placements[_ISLAND] = array
-            else:
-                # The level consists of the array alone.
-                return array
-
-        sizes: dict[str, tuple[float, float]] = {}
-        for item in level.tree.nodes():
-            if item in sub_placements:
-                bb = sub_placements[item].bounding_box()
-                sizes[item] = (bb.width, bb.height)
-            else:
-                sizes[item] = self._modules[item].footprint()
-        rects = pack_sizes(level.tree, sizes)
-
-        merged = Placement.empty()
-        loose = []
-        for item, rect in rects.items():
-            if item in sub_placements:
-                merged = merged.merged_with(
-                    sub_placements[item].translated(rect.x0, rect.y0)
-                )
-            else:
-                loose.append(item)
-        if loose:
-            from ..geometry import PlacedModule
-
-            merged = merged.merged_with(
-                Placement.of(
-                    PlacedModule(self._modules[item], rects[item]) for item in loose
-                )
-            )
-        return merged
-
-    # -- packing, coordinate tier -------------------------------------------------
+        Island members carry their ASF orientation and variant (see
+        :meth:`ASFBStarTree.island_overrides`); every other module is
+        placed as variant 0, R0.
+        """
+        orientations: dict[str, Orientation] = {}
+        variants: dict[str, int] = {}
+        for level in state.levels.values():
+            if level.asf is not None:
+                island_orients, island_variants = level.asf.island_overrides()
+                orientations.update(island_orients)
+                variants.update(island_variants)
+        return coords_to_placement(
+            self.pack_coords(state), self._modules, orientations, variants
+        )
 
     def pack_coords(self, state: HBState) -> Coords:
-        """Flat-coordinate twin of :meth:`pack` for the annealing loop.
+        """The full hierarchy as a coordinate table normalized to origin.
 
-        Same recursion, same arithmetic, but the per-level merge moves
-        4-tuples between dicts instead of building intermediate
-        ``Placement`` objects, and symmetry islands and common-centroid
-        arrays are packed as coordinate tables too.  Coordinates are
-        bit-identical to ``pack(state)``.
+        Packs bottom-up: every level packs its items with
+        :func:`~repro.perf.kernel.pack_tree_coords` on the shared
+        skyline, and child subtrees, symmetry islands and
+        common-centroid arrays enter their parent level as normalized
+        coordinate tables, so no intermediate ``Placement`` is built.
         """
         return self._pack_node_coords(self._hierarchy, state)[0]
 

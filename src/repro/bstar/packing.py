@@ -4,62 +4,10 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..geometry import (
-    ModuleSet,
-    Orientation,
-    PlacedModule,
-    Placement,
-    Rect,
-)
-from .contour import Contour
+from ..geometry import ModuleSet, Orientation, Placement
+from ..perf.coords import coords_to_placement
+from ..perf.kernel import pack_tree_coords
 from .tree import BStarTree
-
-
-def pack_sizes(
-    tree: BStarTree,
-    sizes: Mapping[str, tuple[float, float]],
-    contour: Contour | None = None,
-) -> dict[str, Rect]:
-    """Pack raw (w, h) footprints; returns name -> placed rect.
-
-    Pass a ``contour`` to reuse its storage across calls (it is reset
-    first); by default a fresh one is allocated.
-
-    Pre-order traversal: a left child starts at its parent's right edge,
-    a right child at its parent's left edge; y is the contour height over
-    the module's x span.  The result is compacted and overlap-free by
-    construction.
-
-    The traversal is iterative (explicit stack) so degenerate chain trees
-    of tens of thousands of modules pack without hitting the interpreter
-    recursion limit.
-    """
-    rects: dict[str, Rect] = {}
-    if tree.root is None:
-        return rects
-    if contour is None:
-        contour = Contour()
-    else:
-        contour.reset()
-    tree_left, tree_right = tree.left, tree.right
-
-    # Explicit pre-order stack; the right child is pushed first so the
-    # whole left subtree is packed before it, exactly as the recursive
-    # formulation did.
-    stack: list[tuple[str, float]] = [(tree.root, 0.0)]
-    while stack:
-        name, x = stack.pop()
-        w, h = sizes[name]
-        y = contour.height_over(x, x + w)
-        rects[name] = Rect.from_size(x, y, w, h)
-        contour.place(x, x + w, y + h)
-        right = tree_right[name]
-        if right is not None:
-            stack.append((right, x))
-        left = tree_left[name]
-        if left is not None:
-            stack.append((left, x + w))
-    return rects
 
 
 def pack(
@@ -69,15 +17,13 @@ def pack(
     variants: Mapping[str, int] | None = None,
 ) -> Placement:
     """Pack a B*-tree over a module set into a :class:`Placement`."""
-    sizes: dict[str, tuple[float, float]] = {}
-    for name in tree.nodes():
-        variant = variants.get(name, 0) if variants else 0
-        orient = orientations.get(name, Orientation.R0) if orientations else Orientation.R0
-        sizes[name] = modules[name].footprint(variant, orient)
-    rects = pack_sizes(tree, sizes)
-    placed = []
-    for name, rect in rects.items():
-        orient = orientations.get(name, Orientation.R0) if orientations else Orientation.R0
-        variant = variants.get(name, 0) if variants else 0
-        placed.append(PlacedModule(modules[name], rect, variant=variant, orientation=orient))
-    return Placement.of(placed)
+    sizes = {
+        name: modules[name].footprint(
+            variants.get(name, 0) if variants else 0,
+            orientations.get(name, Orientation.R0) if orientations else Orientation.R0,
+        )
+        for name in tree.nodes()
+    }
+    return coords_to_placement(
+        pack_tree_coords(tree, sizes), modules, orientations, variants
+    )

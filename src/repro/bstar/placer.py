@@ -26,8 +26,8 @@ from ..cost import DEFAULT_TARGET_ASPECT, DEFAULT_WEIGHTS, CostModel, model_for_
 from ..geometry import ModuleSet, Net, Placement
 from ..perf import BStarKernel, IncrementalBStarEngine, VectorBStarEngine
 from .hb_tree import HBIncrementalEngine, HBStarTreePlacement, HBState
-from .packing import pack
-from .perturb import BStarMoveSet, BStarState
+from .perturb import BStarState
+from .tree import BStarTree
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,6 @@ class BStarPlacer:
         self._modules = modules
         self._nets = nets
         self._config = config or BStarPlacerConfig()
-        self._moves = BStarMoveSet(modules)
         # Reference evaluation tier: packed coordinates and the unified
         # cost model with no Placement/PlacedModule churn.  The
         # annealing loop itself runs the *incremental* engine
@@ -145,12 +144,12 @@ class BStarPlacer:
         return IncrementalAnnealer(engine, self.schedule(), rng)
 
     def initial_state(self, rng: random.Random) -> BStarState:
-        return self._moves.initial_state(rng)
+        return BStarState(BStarTree.random(self._modules.names(), rng))
 
     def finalize(self, state: BStarState) -> Placement:
         """Materialize a state as a normalized :class:`Placement`."""
-        return pack(
-            state.tree, self._modules, state.orientations, state.variants
+        return self._kernel.placement(
+            state.tree, state.orientations, state.variants
         ).normalized()
 
     def run(self) -> BStarPlacerResult:

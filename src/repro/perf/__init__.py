@@ -16,10 +16,10 @@ This package is the lower tier.  Inside the loop a placement is nothing
 but *flat coordinates* — ``name -> (x0, y0, x1, y1)`` — packed straight
 from the B*-tree with precomputed footprints and evaluated by a cost
 model whose net pins were resolved once up front.  The arithmetic is
-bit-for-bit the same as the object path (verified by the equivalence
-tests in ``tests/perf/``), so annealing trajectories are unchanged; a
-real :class:`~repro.geometry.Placement` is materialized only for the
-best/final state.
+bit-for-bit the same as the object-tier formulation kept in
+``tests/oracles.py`` (verified by the equivalence tests in
+``tests/perf/``); a real :class:`~repro.geometry.Placement` is
+materialized only for the best/final state.
 
 Modules
 -------
@@ -54,14 +54,13 @@ from .coords import (
     placement_to_coords,
 )
 from .kernel import BStarKernel, Skyline, pack_tree_coords
-from .incremental import FullRepackBStarEngine, IncrementalBStarEngine
+from .incremental import IncrementalBStarEngine
 from .vector import BatchCostEvaluator, VectorBStarEngine
 
 __all__ = [
     "BStarKernel",
     "BatchCostEvaluator",
     "Coords",
-    "FullRepackBStarEngine",
     "IncrementalBStarEngine",
     "Skyline",
     "VectorBStarEngine",

@@ -27,9 +27,8 @@ coordinates, refreshed checkpoints, changed net values), giving the
 mutation already happened — and rollback restores exactly what the
 proposal overwrote.  Costs are bit-identical to a full
 ``pack_tree_coords`` + :class:`~repro.cost.CostModel` evaluation of
-the same state (see ``tests/perf/``);
-:class:`FullRepackBStarEngine` is the same protocol with full
-re-evaluation, used to lock that equivalence over whole annealing runs.
+the same state; ``tests/perf/`` locks that over whole annealing runs
+against the full-repack engine in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -441,88 +440,3 @@ class IncrementalBStarEngine:
         if l is not None:
             pending.append((l, cu[2]))
         return pending
-
-
-class FullRepackBStarEngine:
-    """The same protocol and random draws, evaluated by full repack.
-
-    Twin of :class:`IncrementalBStarEngine` that packs the whole tree
-    and rescans every net on every proposal (PR-1 kernel evaluation).
-    Because both engines draw identically from the shared
-    :class:`~repro.bstar.perturb.InPlaceBStarMoves`, running them with
-    equal seeds produces the *same annealing walk* — which is how the
-    equivalence tests and the benchmark assert that incremental
-    evaluation changes speed, not answers.
-
-    Carries the same telemetry attributes as the incremental engine;
-    every non-noop proposal repacks the whole tree, so
-    :attr:`last_repack_len` is simply the module count.
-    """
-
-    last_move = "noop"
-    last_repack_len = 0
-
-    def __init__(
-        self,
-        modules: ModuleSet,
-        nets: tuple[Net, ...] = (),
-        proximity: tuple[ProximityGroup, ...] = (),
-        config=None,
-        *,
-        allow_rotation: bool = True,
-    ) -> None:
-        if config is None:
-            raise ValueError("FullRepackBStarEngine requires a cost config")
-        perturb = _perturb_module()
-        self._state_cls = perturb.BStarState
-        self._moves = perturb.InPlaceBStarMoves(modules, allow_rotation=allow_rotation)
-        self._kernel = BStarKernel(modules, nets, proximity, config)
-        self._tree = None
-        self._orients: dict[str, Orientation] = {}
-        self._variants: dict[str, int] = {}
-        self._cost = _INF
-        self._pending_cost = _INF
-        self._rec = None
-
-    def initial_state(self, rng: random.Random) -> BStarState:
-        return self._moves.initial_state(rng)
-
-    def reset(self, state: BStarState) -> float:
-        self._tree = state.tree.clone()
-        self._orients = dict(state.orientations)
-        self._variants = dict(state.variants)
-        self._cost = self._kernel.cost(self._tree, self._orients, self._variants)
-        return self._cost
-
-    def initial_cost(self) -> float:
-        return self._cost
-
-    def propose(self, rng: random.Random) -> float:
-        self._rec = self._moves.apply(self._tree, self._orients, self._variants, rng)
-        kind = self._rec.kind
-        self.last_move = kind
-        self.last_repack_len = 0 if kind == "noop" else len(self._tree)
-        self._pending_cost = self._kernel.cost(
-            self._tree, self._orients, self._variants
-        )
-        return self._pending_cost
-
-    def commit(self) -> None:
-        self._cost = self._pending_cost
-        self._rec = None
-
-    def rollback(self) -> None:
-        self._moves.undo(self._tree, self._orients, self._variants, self._rec)
-        self._rec = None
-
-    def snapshot(self) -> BStarState:
-        return self._state_cls(
-            tree=self._tree.clone(),
-            orientations=dict(self._orients),
-            variants=dict(self._variants),
-        )
-
-    def cost_breakdown(self) -> dict[str, float]:
-        """Per-term contributions of the committed state (full repack)."""
-        coords = self._kernel.pack(self._tree, self._orients, self._variants)
-        return self._kernel.model.breakdown(coords)

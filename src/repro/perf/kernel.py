@@ -13,9 +13,13 @@ The kernel packs a :class:`~repro.bstar.BStarTree` straight into a
   kernel instance serves an entire annealing run with no per-step
   allocation beyond the output dict.
 
-Coordinates are bit-identical to ``repro.bstar.packing.pack`` — same
-traversal order, same ``x + w`` / ``y + h`` arithmetic, same exact
-min/max skyline queries (verified in ``tests/perf/``).
+This is the library's only B*-tree packer: flat trees, ASF-B*-tree
+symmetry islands and every HB*-tree level pack through
+:func:`pack_tree_coords`.  The segment-list ``Contour`` / ``pack_sizes``
+formulation it replaced survives as a test oracle in
+``tests/oracles.py``, and ``tests/perf/`` asserts the two agree bit for
+bit (same traversal order, same ``x + w`` / ``y + h`` arithmetic, same
+exact min/max skyline queries).
 """
 
 from __future__ import annotations
@@ -36,14 +40,14 @@ SkylineSnapshot = tuple[list[float], list[float]]
 class Skyline:
     """Contour over x >= 0 as parallel ``starts`` / ``heights`` lists.
 
-    Functional twin of :class:`repro.bstar.Contour`, tuned for the hot
-    loop.  Segment ``i`` spans ``[starts[i], starts[i+1])`` (the last
-    one runs to infinity) at height ``heights[i]``; starts are strictly
+    Segment ``i`` spans ``[starts[i], starts[i+1])`` (the last one runs
+    to infinity) at height ``heights[i]``; starts are strictly
     increasing, so the query side of :meth:`raise_over` is a C-level
     ``bisect`` (linear for short profiles) plus a slice ``max``, and the
-    update side is two list splices.  Heights come out of the very same
-    ``max`` / ``y + h`` float operations as the object tier, so packings
-    agree bit for bit (see ``tests/perf/``).
+    update side is two list splices.  Heights come out of the same
+    ``max`` / ``y + h`` float operations as the segment-list
+    ``Contour`` oracle in ``tests/oracles.py``, so packings agree bit
+    for bit (see ``tests/perf/``).
     """
 
     __slots__ = ("_starts", "_heights")
@@ -137,10 +141,12 @@ def pack_tree_coords(
 ) -> Coords:
     """Pack raw (w, h) footprints into a coordinate table.
 
-    Flat twin of :func:`repro.bstar.packing.pack_sizes`: identical
-    traversal order (pre-order, left subtree before right) and identical
-    arithmetic, returning 4-tuples instead of :class:`Rect` objects.
-    Pass a ``skyline`` to reuse its storage across calls.
+    Pre-order traversal with an explicit stack (safe on chains of any
+    depth): a left child starts at its parent's right edge, a right
+    child at its parent's left edge, and y is the skyline height over
+    the module's x span.  Table order is the pre-order (left subtree
+    before right).  Pass a ``skyline`` to reuse its storage across
+    calls.
     """
     out: Coords = {}
     root = tree.root
@@ -291,7 +297,7 @@ class BStarKernel:
         orientations: Mapping[str, Orientation] | None = None,
         variants: Mapping[str, int] | None = None,
     ) -> Coords:
-        """Pack a tree into flat coordinates (bit-identical to ``pack()``)."""
+        """Pack a tree into flat coordinates."""
         return pack_tree_coords(tree, self.resolved_sizes(orientations, variants), self._skyline)
 
     def cost(
@@ -304,12 +310,6 @@ class BStarKernel:
         if self._cost_model is None:
             raise ValueError("BStarKernel was built without a cost config")
         return self._cost_model(self.pack(tree, orientations, variants))
-
-    def cost_of(self, coords: Coords) -> float:
-        """Evaluate an already-packed coordinate table."""
-        if self._cost_model is None:
-            raise ValueError("BStarKernel was built without a cost config")
-        return self._cost_model(coords)
 
     def placement(
         self,

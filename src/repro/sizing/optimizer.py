@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..anneal import Annealer, FunctionMoveSet, GeometricSchedule
+from ..anneal import FunctionMoveSet, GeometricSchedule, IncrementalAnnealer, StateEngine
 from .amplifier import CONTINUOUS_BOUNDS, FOLD_BOUNDS, FoldedCascodeSizing
 from .parasitics import Parasitics, extract
 from .performance import Performance, evaluate
@@ -147,8 +147,12 @@ class SizingOptimizer:
             alpha=cfg.alpha,
             steps_per_epoch=cfg.steps_per_epoch * cfg.iterations_scale,
         )
-        annealer = Annealer(self.cost, FunctionMoveSet(self._propose), schedule, rng)
-        outcome = annealer.run((initial or FoldedCascodeSizing()).clamped())
+        engine = StateEngine(
+            self.cost,
+            FunctionMoveSet(self._propose),
+            (initial or FoldedCascodeSizing()).clamped(),
+        )
+        outcome = IncrementalAnnealer(engine, schedule, rng).run()
         runtime = time.perf_counter() - start
 
         best = outcome.best_state

@@ -10,6 +10,7 @@ from repro.bstar import ASFBStarTree, ASFMoveSet
 from repro.circuit import SymmetryGroup
 from repro.geometry import Module, ModuleSet
 from repro.perf import Skyline, placement_to_coords
+from tests.oracles import asf_pack
 from tests.strategies import symmetric_problems
 
 
@@ -95,16 +96,22 @@ class TestIslandPacking:
 
 
 class TestIslandCoords:
-    """``pack_coords`` is the flat twin of ``pack(...).normalized()``."""
+    """``pack`` and ``pack_coords`` equal the object-tier island of
+    ``tests/oracles.py``: same rects in the same order, same variants
+    and orientations, and ``pack_coords`` is its normalized table."""
 
     @staticmethod
     def _assert_twin(state, mods, skyline):
         coords, (width, height) = state.pack_coords(mods, skyline)
-        island = state.pack(mods).normalized()
+        expected = asf_pack(state, mods)
+        island = expected.normalized()
         assert list(coords) == [p.name for p in island]  # placement order
         assert coords == placement_to_coords(island)
         bb = island.bounding_box()
         assert (width, height) == (bb.width, bb.height)
+        assert [(p.name, p.rect, p.variant, p.orientation) for p in state.pack(mods)] == [
+            (p.name, p.rect, p.variant, p.orientation) for p in expected
+        ]
 
     @given(symmetric_problems(max_free=0), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)

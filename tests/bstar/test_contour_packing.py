@@ -1,4 +1,9 @@
-"""Tests for the contour structure and B*-tree packing."""
+"""Tests for B*-tree packing and the segment-list contour oracle.
+
+``pack`` is the library's packer (skyline kernel); ``Contour`` and
+``pack_sizes`` are the reference formulation in ``tests/oracles.py``
+that the kernel is proven equal to.
+"""
 
 import random
 
@@ -6,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bstar import BStarTree, Contour, pack, pack_sizes
+from repro.bstar import BStarTree, pack
 from repro.geometry import Module, ModuleSet, Orientation
+from tests.oracles import Contour, pack_sizes
 from tests.strategies import module_sets, names
 
 

@@ -36,12 +36,13 @@ from repro.cost import (
     reference_model,
     resolve_nets,
 )
-from repro.geometry import Module, ModuleSet, Net, total_hpwl
+from repro.geometry import Module, ModuleSet, Net
 from repro.perf import BStarKernel, bounding_of, placement_to_coords
 from repro.seqpair.placer import PlacerConfig
 from repro.slicing import SlicingPlacer, SlicingPlacerConfig
 from repro.slicing.polish import PolishExpression
 
+from tests.oracles import flat_cost, object_cost
 from tests.strategies import mixed_module_sets, seeded_rng
 
 
@@ -67,34 +68,6 @@ def _random_coords(modules: ModuleSet, rng) -> dict:
 
 
 # -- legacy formula replicas (what the placers computed before PR 4) ----------
-
-
-def _legacy_bstar_eval(modules, nets, proximity, config):
-    """Replica of the deleted ``FastCostModel.evaluate`` (bstar/hbtree)."""
-    from repro.cost import proximity_satisfied
-
-    resolved = resolve_nets(nets, modules.names())
-    area_scale = max(modules.total_module_area(), 1e-12)
-    wl_scale = max(area_scale**0.5 * max(len(nets), 1), 1e-12)
-
-    def evaluate(coords):
-        bx0, by0, bx1, by1 = bounding_of(coords.values())
-        width = bx1 - bx0
-        height = by1 - by0
-        cost = config.area_weight * (width * height) / area_scale
-        if nets and config.wirelength_weight:
-            cost += config.wirelength_weight * hpwl_of(resolved, coords) / wl_scale
-        if config.aspect_weight and width > 0 and height > 0:
-            ratio = height / width
-            deviation = max(ratio, 1.0 / ratio) / max(config.target_aspect, 1e-12)
-            cost += config.aspect_weight * max(0.0, deviation - 1.0)
-        if config.proximity_weight:
-            for group in proximity:
-                if not proximity_satisfied(group, coords):
-                    cost += config.proximity_weight
-        return cost
-
-    return evaluate
 
 
 def _legacy_seqpair_eval(modules, nets, config):
@@ -148,7 +121,7 @@ class TestBStarModelEquivalence:
             aspect_weight=rng.choice((0.0, 0.1)),
         )
         model = model_for_config(modules, nets, (), config)
-        legacy = _legacy_bstar_eval(modules, nets, (), config)
+        legacy = flat_cost(modules, nets, (), config)
         kernel = BStarKernel(modules, nets, (), config)
         tree = BStarTree.random(modules.names(), rng)
         coords = kernel.pack(tree)
@@ -162,7 +135,7 @@ class TestBStarModelEquivalence:
         proximity = circuit.constraints().proximity
         modules = circuit.modules()
         model = model_for_config(modules, circuit.nets, proximity, config)
-        legacy = _legacy_bstar_eval(modules, circuit.nets, proximity, config)
+        legacy = flat_cost(modules, circuit.nets, proximity, config)
         rng = random.Random(7)
         for _ in range(15):
             coords = _random_coords(modules, rng)
@@ -275,25 +248,15 @@ class TestReferenceModelEquivalence:
     """The portfolio yardstick equals the legacy closure bit for bit."""
 
     def _legacy_reference(self, circuit):
-        modules = circuit.modules()
-        nets = circuit.nets
-        config = BStarPlacerConfig()
-        area_scale = max(modules.total_module_area(), 1e-12)
-        wl_scale = max(area_scale**0.5 * max(len(nets), 1), 1e-12)
         constraints = circuit.constraints()
+        area_hpwl_aspect = object_cost(
+            circuit.modules(), circuit.nets, (), BStarPlacerConfig()
+        )
 
         def cost(placement):
-            bb = placement.bounding_box()
-            total = config.area_weight * bb.area / area_scale
-            if nets and config.wirelength_weight:
-                total += (
-                    config.wirelength_weight * total_hpwl(nets, placement) / wl_scale
-                )
-            if config.aspect_weight and bb.width > 0 and bb.height > 0:
-                ratio = bb.height / bb.width
-                deviation = max(ratio, 1.0 / ratio) / max(config.target_aspect, 1e-12)
-                total += config.aspect_weight * max(0.0, deviation - 1.0)
-            return total + 2.0 * len(constraints.violations(placement))
+            return area_hpwl_aspect(placement) + 2.0 * len(
+                constraints.violations(placement)
+            )
 
         return cost
 

@@ -2,9 +2,10 @@
 
 Before the perf kernel, ``pack_sizes`` recursed once per tree level, so
 a chain of a few thousand modules (a single row or stack) died with
-``RecursionError``.  Both the object-tier packer and the flat kernel
-are now explicit-stack traversals; these tests pin that down at 5000+
-modules, well past the default interpreter recursion limit.
+``RecursionError``.  Both the flat kernel and the reference packer in
+``tests/oracles.py`` are explicit-stack traversals; these tests pin that
+down at 5000+ modules, well past the default interpreter recursion
+limit.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import sys
 
 import pytest
 
-from repro.bstar.packing import pack_sizes
 from repro.bstar.tree import BStarTree
 from repro.geometry import Module, ModuleSet
 from repro.perf import BStarKernel, pack_tree_coords
+from tests.oracles import pack_sizes
 
 N_DEEP = 5000
 

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.anneal import (
-    Annealer,
     FunctionMoveSet,
     GeometricSchedule,
     IncrementalAnnealer,
@@ -31,11 +30,7 @@ from repro.bstar.hb_tree import HBIncrementalEngine, HBStarTreePlacement
 from repro.circuit import fig2_design, miller_opamp, simple_testcase
 from repro.geometry import Module, ModuleSet, Net, PlacedModule, Placement, Rect
 from repro.cost import DeltaHPWL, hpwl_of, model_for_config, resolve_nets
-from repro.perf import (
-    BStarKernel,
-    FullRepackBStarEngine,
-    IncrementalBStarEngine,
-)
+from repro.perf import BStarKernel, IncrementalBStarEngine
 from repro.perf.coords import bounding_of, placement_to_coords
 from repro.seqpair import SequencePairPlacer
 from repro.seqpair.placer import PlacerConfig, _SeqPairEngine
@@ -43,6 +38,7 @@ from repro.slicing import SlicingPlacer, SlicingPlacerConfig
 from repro.slicing.placer import _SlicingEngine
 from repro.workloads import resolve_workload
 
+from tests.oracles import FullRepackBStarEngine, functional_anneal, hb_pack
 from tests.strategies import mixed_module_sets
 
 
@@ -332,7 +328,8 @@ class TestHBIncrementalEngine:
 
     def test_trajectory_identical_to_functional_path(self):
         """HierarchicalPlacer draws and costs are unchanged by the
-        engine, so whole runs match the PR-1 functional loop exactly."""
+        engine, so whole runs match the functional path (the forest's
+        own ``propose`` and uncached cost behind a StateEngine)."""
         circuit = fig2_design()
         config = BStarPlacerConfig(seed=7, alpha=0.85, steps_per_epoch=15, t_final=1e-3)
         placer = HierarchicalPlacer(circuit, config)
@@ -343,12 +340,12 @@ class TestHBIncrementalEngine:
             steps_per_epoch=config.steps_per_epoch,
         )
         rng = random.Random(config.seed)
-        annealer = Annealer(placer.cost, placer._hb, schedule, rng)
-        functional = annealer.run(placer._hb.initial_state(rng))
+        engine = StateEngine(placer.cost, placer._hb, placer._hb.initial_state(rng))
+        functional = IncrementalAnnealer(engine, schedule, rng).run()
         incremental = placer.run()
         assert incremental.cost == functional.best_cost
-        assert incremental.placement.positions() == placer._hb.pack(
-            functional.best_state
+        assert incremental.placement.positions() == hb_pack(
+            placer._hb, functional.best_state
         ).positions()
 
 
@@ -452,7 +449,7 @@ class TestSeqPairEngine:
             assert engine._cost == placer.cost(engine.snapshot())
 
     def test_run_matches_functional_annealer(self):
-        """run() through the protocol equals the PR-1 functional loop."""
+        """run() through the protocol equals the functional path."""
         rng = random.Random(6)
         mods = ModuleSet.of(
             [Module.hard(f"m{i}", rng.uniform(1, 8), rng.uniform(1, 8)) for i in range(7)]
@@ -467,8 +464,10 @@ class TestSeqPairEngine:
             steps_per_epoch=config.steps_per_epoch,
         )
         run_rng = random.Random(config.seed)
-        annealer = Annealer(placer.cost, placer._moves, schedule, run_rng)
-        functional = annealer.run(placer._moves.initial_state(run_rng))
+        engine = StateEngine(
+            placer.cost, placer._moves, placer._moves.initial_state(run_rng)
+        )
+        functional = IncrementalAnnealer(engine, schedule, run_rng).run()
         incremental = placer.run()
         assert incremental.cost == functional.best_cost
         assert incremental.state == functional.best_state
@@ -515,8 +514,12 @@ class TestSlicingEngine:
         from repro.slicing.polish import PolishExpression
 
         run_rng = random.Random(config.seed)
-        annealer = Annealer(placer.cost, FunctionMoveSet(placer._move), schedule, run_rng)
-        functional = annealer.run(PolishExpression.random(mods.names(), run_rng))
+        engine = StateEngine(
+            placer.cost,
+            FunctionMoveSet(placer._move),
+            PolishExpression.random(mods.names(), run_rng),
+        )
+        functional = IncrementalAnnealer(engine, schedule, run_rng).run()
         incremental = placer.run()
         assert incremental.cost == functional.best_cost
         assert incremental.expression == functional.best_state
@@ -525,7 +528,8 @@ class TestSlicingEngine:
 class TestIncrementalAnnealer:
     def test_state_engine_adapter_matches_functional_annealer(self):
         """The StateEngine adapter consumes randomness exactly like the
-        functional loop, so results coincide for any cost/move pair."""
+        textbook loop over immutable states, so results coincide for any
+        cost/move pair."""
 
         def cost(x: float) -> float:
             return (x - 3.0) ** 2
@@ -534,9 +538,7 @@ class TestIncrementalAnnealer:
             return x + rng.gauss(0.0, 0.5)
 
         schedule = GeometricSchedule(t_final=0.01, steps_per_epoch=10)
-        functional = Annealer(
-            cost, FunctionMoveSet(step), schedule, random.Random(42)
-        ).run(5.0)
+        functional = functional_anneal(cost, step, 5.0, schedule, random.Random(42))
         engine = StateEngine(cost, FunctionMoveSet(step), 5.0)
         incremental = IncrementalAnnealer(
             engine, schedule, random.Random(42)

@@ -1,10 +1,12 @@
-"""Equivalence of the fast kernel against the object-tier pack/cost.
+"""Equivalence of the packing kernel against the object-tier oracles.
 
-The whole point of ``repro.perf`` is that the hot loop computes the
-*same floats* as the rich object path — these tests assert exact
-(bit-level, ``==``) equality of coordinates and costs over randomized
-trees, variants, orientations and hierarchies, so any drift between the
-two tiers fails loudly.
+The library packs every B*-tree (flat, symmetry island, HB*-tree level)
+through ``repro.perf``'s skyline kernel; ``tests/oracles.py`` keeps the
+object formulation it replaced (segment-list contour, ``Rect`` and
+``Placement`` objects).  These tests assert exact (bit-level, ``==``)
+equality of coordinates, costs, variants and orientations over
+randomized trees, variants, orientations and hierarchies, so any drift
+between the two fails loudly.
 """
 
 from __future__ import annotations
@@ -19,43 +21,20 @@ from repro.bstar import (
     HBStarTreePlacement,
     HierarchicalPlacer,
 )
-from repro.bstar.packing import pack
 from repro.bstar.tree import BStarTree
 from repro.circuit import fig2_design, miller_opamp, simple_testcase
-from repro.bstar.contour import Contour
 from repro.cost import model_for_config
-from repro.geometry import Module, ModuleSet, Net, Orientation, total_hpwl
+from repro.geometry import Module, ModuleSet, Net, Orientation
 from repro.perf import BStarKernel, Skyline, placement_to_coords
-
-
-def _legacy_object_cost(modules, nets, proximity, config):
-    """The pre-refactor object-tier cost formula, verbatim.
-
-    This replicates the deleted ``bstar.placer._CostModel`` operation
-    for operation (same accumulation order, same gates) and stays here
-    as the ground truth the flat kernel and the unified
-    :class:`repro.cost.CostModel` are pinned against.
-    """
-
-    area_scale = max(modules.total_module_area(), 1e-12)
-    wl_scale = max(area_scale**0.5 * max(len(nets), 1), 1e-12)
-
-    def cost(placement):
-        bb = placement.bounding_box()
-        total = config.area_weight * bb.area / area_scale
-        if nets and config.wirelength_weight:
-            total += config.wirelength_weight * total_hpwl(nets, placement) / wl_scale
-        if config.aspect_weight and bb.width > 0 and bb.height > 0:
-            ratio = bb.height / bb.width
-            deviation = max(ratio, 1.0 / ratio) / max(config.target_aspect, 1e-12)
-            total += config.aspect_weight * max(0.0, deviation - 1.0)
-        if config.proximity_weight:
-            for group in proximity:
-                if not group.is_satisfied(placement):
-                    total += config.proximity_weight
-        return total
-
-    return cost
+from repro.workloads import resolve_workload
+from tests.oracles import (
+    BStarMoveSet,
+    Contour,
+    hb_pack,
+    object_cost,
+    pack,
+    pack_sizes,
+)
 
 
 def _mixed_modules(n_hard: int = 12, n_soft: int = 8, seed: int = 0) -> ModuleSet:
@@ -109,7 +88,7 @@ class TestFlatKernel:
         nets = _random_nets(mods.names(), rng)
         config = BStarPlacerConfig(wirelength_weight=0.7, aspect_weight=0.2)
         kernel = BStarKernel(mods, nets, (), config)
-        reference = _legacy_object_cost(mods, nets, (), config)
+        reference = object_cost(mods, nets, (), config)
         tree, orientations, variants = _random_state(mods, rng)
         placement = pack(tree, mods, orientations, variants)
         assert kernel.cost(tree, orientations, variants) == reference(placement)
@@ -136,13 +115,14 @@ class TestFlatKernel:
     def test_placer_cost_is_kernel_cost(self, small_modules):
         config = BStarPlacerConfig(seed=2)
         placer = BStarPlacer(small_modules, config=config)
-        reference = _legacy_object_cost(small_modules, (), (), config)
+        reference = object_cost(small_modules, (), (), config)
+        moves = BStarMoveSet(small_modules)
         rng = random.Random(0)
-        state = placer._moves.initial_state(rng)
+        state = placer.initial_state(rng)
         for _ in range(25):
             packed = pack(state.tree, small_modules, state.orientations, state.variants)
             assert placer.cost(state) == reference(packed)
-            state = placer._moves.propose(state, rng)
+            state = moves.propose(state, rng)
 
 
 class TestSkylineAndContour:
@@ -210,8 +190,6 @@ class TestSkylineAndContour:
         assert contour.profile() == fresh.profile()
 
     def test_pack_sizes_reuses_contour(self):
-        from repro.bstar.packing import pack_sizes
-
         sizes = {"a": (2.0, 3.0), "b": (4.0, 1.0), "c": (1.0, 5.0)}
         contour = Contour()
         rng = random.Random(4)
@@ -234,21 +212,51 @@ class TestHierarchicalCoords:
         rng = random.Random(0)
         state = hb.initial_state(rng)
         for _ in range(40):
-            assert hb.pack_coords(state) == placement_to_coords(hb.pack(state))
+            assert hb.pack_coords(state) == placement_to_coords(hb_pack(hb, state))
             state = hb.propose(state, rng)
+
+    @pytest.mark.parametrize(
+        "workload", ["fig2", "miller_opamp", "gen:n=150,seed=3"]
+    )
+    def test_finalize_matches_object_pack_per_module(self, workload):
+        """The materialized placement gives every module the oracle's
+        rect, variant *and* orientation: a coordinate-only comparison
+        cannot see a mirrored partner placed as R0 instead of MY.
+        Only the placement order may differ."""
+        circuit = resolve_workload(workload)
+        placer = HierarchicalPlacer(circuit, BStarPlacerConfig())
+        hb = placer._hb
+        rng = random.Random(0)
+        state = placer.initial_state(rng)
+        mirrored = 0
+        for _ in range(30):
+            placed = {p.name: p for p in placer.finalize(state)}
+            expected = {p.name: p for p in hb_pack(hb, state)}
+            assert placed.keys() == expected.keys()
+            for name, want in expected.items():
+                got = placed[name]
+                assert (got.rect, got.variant, got.orientation) == (
+                    want.rect,
+                    want.variant,
+                    want.orientation,
+                ), name
+                mirrored += want.orientation is not Orientation.R0
+            state = hb.propose(state, rng)
+        if circuit.constraints().symmetry:
+            assert mirrored, "no mirrored partner was compared"
 
     def test_placer_cost_matches_object_cost(self):
         circuit = fig2_design()
         config = BStarPlacerConfig()
         placer = HierarchicalPlacer(circuit, config)
-        reference = _legacy_object_cost(
+        reference = object_cost(
             circuit.modules(), circuit.nets, circuit.constraints().proximity, config
         )
         rng = random.Random(1)
         hb = placer._hb
         state = hb.initial_state(rng)
         for _ in range(40):
-            assert placer.cost(state) == reference(hb.pack(state))
+            assert placer.cost(state) == reference(hb_pack(hb, state))
             state = hb.propose(state, rng)
 
 
@@ -259,11 +267,11 @@ class TestUnifiedCostModel:
         proximity = circuit.constraints().proximity
         assert proximity, "fig2 should carry a proximity group"
         fast = model_for_config(circuit.modules(), circuit.nets, proximity, config)
-        reference = _legacy_object_cost(circuit.modules(), circuit.nets, proximity, config)
+        reference = object_cost(circuit.modules(), circuit.nets, proximity, config)
         hb = HBStarTreePlacement(circuit.hierarchy, circuit.modules())
         rng = random.Random(5)
         state = hb.initial_state(rng)
         for _ in range(20):
-            placement = hb.pack(state)
+            placement = hb_pack(hb, state)
             assert fast(placement_to_coords(placement)) == reference(placement)
             state = hb.propose(state, rng)

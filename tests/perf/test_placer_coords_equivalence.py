@@ -153,13 +153,3 @@ class TestSatellites:
         # transforms return fresh placements with fresh caches
         moved = placement.translated(1.0, 2.0)
         assert moved.bounding_box() == first.translated(1.0, 2.0)
-
-    def test_weighted_move_set_generators_hoisted(self):
-        from repro.anneal.annealer import FunctionMoveSet, WeightedMoveSet
-
-        bump = FunctionMoveSet(lambda s, rng: s + 1)
-        drop = FunctionMoveSet(lambda s, rng: s - 1)
-        moves = WeightedMoveSet([(1.0, bump), (0.0, drop)])
-        assert moves._generators == [bump, drop]
-        rng = random.Random(0)
-        assert all(moves.propose(0, rng) == 1 for _ in range(10))

@@ -9,7 +9,12 @@ import random
 
 import pytest
 
-from repro.anneal import Annealer, FunctionMoveSet, GeometricSchedule
+from repro.anneal import (
+    FunctionMoveSet,
+    GeometricSchedule,
+    IncrementalAnnealer,
+    StateEngine,
+)
 from repro.bstar import BStarTree, pack
 from repro.circuit import Circuit, HierarchyNode, SymmetryGroup
 from repro.geometry import Module, ModuleSet, Net, PlacedModule, Placement, Rect
@@ -82,14 +87,16 @@ class TestAnnealerBoundaries:
         def cost(x):
             return float("inf") if x > 5 else float(x)
 
-        annealer = Annealer(
-            cost,
-            FunctionMoveSet(lambda x, rng: x + rng.choice((-1, 1))),
+        engine = StateEngine(
+            cost, FunctionMoveSet(lambda x, rng: x + rng.choice((-1, 1))), 3
+        )
+        annealer = IncrementalAnnealer(
+            engine,
             GeometricSchedule(t_final=0.01, steps_per_epoch=10),
             random.Random(0),
             auto_t0=False,
         )
-        result = annealer.run(3)
+        result = annealer.run()
         assert math.isfinite(result.best_cost)
 
 

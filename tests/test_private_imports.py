@@ -4,6 +4,9 @@ The unified cost layer exists precisely so no package has to reach
 into another's underscore names (the portfolio once imported
 ``bstar.placer._CostModel``); this test keeps the tree clean forever
 and pins the checker's own detection logic against synthetic trees.
+The same checker keeps the library off its test tree: the reference
+implementations in ``tests/oracles.py`` are for tests and benchmarks
+only.
 """
 
 from __future__ import annotations
@@ -115,6 +118,25 @@ class TestDetection:
             },
         )
         assert check_private_imports.scan(src) == []
+
+    def test_planted_test_tree_imports_are_flagged(self, tmp_path, capsys):
+        src = _write_tree(
+            tmp_path,
+            {
+                "repro/__init__.py": "",
+                "repro/alpha/__init__.py": "from tests.oracles import pack_sizes\n",
+                "repro/alpha/mod.py": "import tests.oracles\n",
+                "repro/beta/__init__.py": "import tests\n",
+                # a library module merely *named* like the test tree is fine
+                "repro/beta/tests_util.py": "from .. import alpha\n",
+            },
+        )
+        violations = check_private_imports.scan(src)
+        assert len(violations) == 3
+        assert all("test-only import" in v for v in violations)
+        assert any("from tests.oracles import pack_sizes" in v for v in violations)
+        assert check_private_imports.main([str(src)]) == 1
+        assert "3 forbidden import(s)" in capsys.readouterr().out
 
     def test_dunder_names_are_exempt(self, tmp_path):
         src = _write_tree(

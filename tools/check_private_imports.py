@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Fail on cross-package private imports inside ``src/repro``.
+"""Fail on cross-package private imports and test-only imports inside
+``src/repro``.
 
 A statement like ``from repro.bstar.placer import _CostModel`` written
 outside ``repro/bstar`` couples one package to another's internals —
@@ -10,6 +11,11 @@ whose source module lives in a *different* package (directory) than the
 importing file.  Dunder names (``__version__``) are exempt, as are
 imports within one package — a module may share private helpers with
 its own neighbors.
+
+It also reports every ``import tests`` / ``from tests... import``: the
+reference implementations in ``tests/oracles.py`` exist to prove the
+library's fast paths equal them, so only tests and benchmarks may use
+them; the library itself must never depend on its test tree.
 
 Run standalone (CI lint job)::
 
@@ -69,14 +75,33 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+def _is_test_module(dotted: str | None) -> bool:
+    """Whether a dotted module path lies in the test tree."""
+    return (dotted or "").split(".")[0] == "tests"
+
+
 def check_file(path: Path, src: Path, top: str) -> list[str]:
     """Violation messages for one module file."""
     parts = _module_parts(path, src)
     package = _package_of(parts, path.name == "__init__.py")
     tree = ast.parse(path.read_text(), filename=str(path))
+    rel = path.relative_to(src.parent)
     violations: list[str] = []
     for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if _is_test_module(alias.name):
+                    violations.append(
+                        f"{rel}:{node.lineno}: test-only import: import {alias.name}"
+                    )
+            continue
         if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and _is_test_module(node.module):
+            violations.append(
+                f"{rel}:{node.lineno}: test-only import: from {node.module} import "
+                + ", ".join(a.name for a in node.names)
+            )
             continue
         private = [a.name for a in node.names if _is_private(a.name)]
         if not private:
@@ -90,7 +115,6 @@ def check_file(path: Path, src: Path, top: str) -> list[str]:
         source_pkg = target if (src.joinpath(*target)).is_dir() else target[:-1]
         if source_pkg == package:
             continue  # same package: private sharing among neighbors is fine
-        rel = path.relative_to(src.parent)
         for name in private:
             violations.append(
                 f"{rel}:{node.lineno}: cross-package private import: "
@@ -112,11 +136,11 @@ def main(argv: list[str] | None = None) -> int:
     src = Path(args[0]) if args else DEFAULT_SRC
     violations = scan(src)
     if violations:
-        print(f"{len(violations)} cross-package private import(s):")
+        print(f"{len(violations)} forbidden import(s):")
         for message in violations:
             print(f"  {message}")
         return 1
-    print("no cross-package private imports")
+    print("no cross-package private imports, no test-only imports")
     return 0
 
 
